@@ -36,8 +36,9 @@ experiments-full:
 
 # Tier-1 gate (ROADMAP.md): static checks, full race-enabled test suite, the
 # checkpoint-store conformance suite (both backends through the shared
-# contract tests), a one-iteration smoke of the perf-tracked benchmarks, and
-# the compute-layer equivalence smoke.
+# contract tests), a one-iteration smoke of the perf-tracked benchmarks, the
+# compute-layer equivalence smoke, the serving smokes, and the paper-shape
+# checks.
 check:
 	$(GO) vet ./...
 	$(GO) build ./...
@@ -47,6 +48,7 @@ check:
 	$(MAKE) kernel-smoke
 	$(MAKE) stat-smoke
 	$(MAKE) cluster-smoke
+	$(MAKE) paper-check
 
 # Re-evaluate every paper-predicted shape; non-zero exit on mismatch.
 paper-check:
@@ -114,8 +116,9 @@ kernel-smoke:
 	$(GO) test -tags obsoff -run TestKernelsAllocFree ./internal/dense/
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the
-# prefetch pipeline, the OR-library parser, and the SCSTATE1/SCCKPT1
-# snapshot decoders (go test allows one -fuzz target per invocation).
+# prefetch pipeline, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
+# decoders, the SCWIRE1 frame reader and the shard-ring membership codec
+# (go test allows one -fuzz target per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/stream/
 	$(GO) test -fuzz FuzzPrefetchedFile -fuzztime 10s ./internal/stream/
@@ -124,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzRestore -fuzztime 10s ./internal/snap/
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/snap/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 10s ./internal/serve/
+	$(GO) test -fuzz FuzzRingCodec -fuzztime 10s ./internal/serve/ring/
 
 fmt:
 	gofmt -w .

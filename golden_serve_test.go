@@ -3,9 +3,9 @@ package streamcover
 // Network extension of the golden fixtures: the same workload, seeds and
 // algorithms as golden_test.go, but fed over TCP through the SCWIRE1
 // serving stack. The served fingerprints must equal the recorded seed
-// implementation's — the wire framing, session ring and batched dispatch
-// must not perturb a single byte of observable output. A second sweep
-// kills the connection mid-stream (no detach frame), resumes from the
+// implementation's — the wire framing, inline session ingest and batched
+// dispatch must not perturb a single byte of observable output. A second
+// sweep kills the connection mid-stream (no detach frame), resumes from the
 // server's checkpoint, and demands the same fingerprints again — once per
 // checkpoint-store backend, pinning that detach/resume stays byte-exact
 // whether the checkpoint round-trips through the durable FileStore or the

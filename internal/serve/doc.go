@@ -14,9 +14,9 @@
 //     the durable `<token>.ckpt` directory, MemStore for dirless runs).
 //   - internal/serve/lifecycle owns the session state machine — open,
 //     resume, detach, finish, drain — plus the algorithm registry and the
-//     ingest ring. It imports neither net nor os.
+//     per-session edge buffer. It imports neither net nor os.
 //   - this package speaks SCWIRE1 over TCP, decoding edge frames straight
-//     into ring buffers leased from Session.Reserve and mapping lifecycle
+//     into the edge buffer leased from Session.Reserve and mapping lifecycle
 //     errors onto wire error codes. Type aliases in serve.go re-export the
 //     lifecycle/store surface so consumers import one package.
 //
@@ -50,17 +50,17 @@
 //
 // # Session lifecycle and resume semantics
 //
-// Each connection owns at most one session. Edge batches flow from the
-// connection reader into a bounded ring of reusable buffers (backpressure:
-// when the ring is full the reader blocks, which TCP propagates to the
-// client; stalls are counted in internal/obs) and a per-session worker
-// goroutine drains the ring into the algorithm via ProcessBatch — the same
-// zero-allocation batch path as the file driver, so the server's steady
-// state allocates nothing per edge batch.
+// Each connection owns at most one session and runs it on one goroutine:
+// the connection reader decodes each edges frame into the session's
+// reusable edge buffer and hands it to the algorithm via ProcessBatch —
+// the same zero-allocation batch path as the file driver, so the server's
+// steady state allocates nothing per edge batch. There is no queue between
+// decode and the algorithm; when the algorithm is slow the reader stops
+// reading and TCP flow control pushes back on the client.
 //
 // On any disconnect — abrupt drop, read timeout, explicit detach, or
-// server drain on SIGTERM — the worker drains what was already queued and
-// the session persists an SCCKPT1 checkpoint (internal/snap discipline,
+// server drain on SIGTERM — every decoded edge has already been processed,
+// and the session persists an SCCKPT1 checkpoint (internal/snap discipline,
 // via stream.WriteCheckpointTraced, serialized to bytes and handed to the
 // configured CheckpointStore) at the exact position it consumed. A
 // reconnecting client sends a resume frame naming the session; the server

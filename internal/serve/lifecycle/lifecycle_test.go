@@ -29,7 +29,7 @@ func testEdges(cfg Config) []stream.Edge {
 	return edges
 }
 
-// feed pushes edges through the Reserve/Enqueue lease API in ring-sized
+// feed pushes edges through the Reserve/Enqueue lease API in MaxBatch-sized
 // batches, exactly as the transport does.
 func feed(s *Session, edges []stream.Edge) {
 	for off := 0; off < len(edges); {

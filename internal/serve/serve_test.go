@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -472,7 +473,9 @@ func TestServeBadEdgeDetachesWithCheckpoint(t *testing.T) {
 	}
 }
 
-// slowAlg is a deliberately slow drop-in used to force ring backpressure.
+// slowAlg is a deliberately slow drop-in: a consumer the client can
+// easily outrun. It has no ProcessBatch, so it also covers the per-edge
+// fallback of the inline ingest path.
 type slowAlg struct {
 	inner stream.Algorithm
 	delay time.Duration
@@ -484,36 +487,116 @@ func (a *slowAlg) Process(e stream.Edge) {
 }
 func (a *slowAlg) Finish() *setcover.Cover { return a.inner.Finish() }
 
-// TestServeBackpressureCountsStalls drives a slow algorithm faster than it
-// can consume: the connection reader must block on the full ring (the
-// stall counter ticks) and TCP pushes back on the client — yet nothing is
-// lost and the session finishes.
-func TestServeBackpressureCountsStalls(t *testing.T) {
-	edges := testEdges(t)[:4096]
-	Register("slowtest", func(cfg Config, rng *xrand.Rand) stream.Algorithm {
-		return &slowAlg{inner: kk.New(cfg.N, cfg.M, rng), delay: 30 * time.Microsecond}
+// TestServeInlineIngest pins the inline ingest path: the connection
+// goroutine decodes each edges frame and runs it through the algorithm
+// itself, with no queue and no per-session worker.
+func TestServeInlineIngest(t *testing.T) {
+	// A slow consumer fed faster than it can keep up: TCP carries the
+	// backpressure, nothing is lost, and a flush acks exactly the edges
+	// sent, with every frame counted once.
+	t.Run("slow-consumer", func(t *testing.T) {
+		edges := testEdges(t)[:4096]
+		Register("slowtest", func(cfg Config, rng *xrand.Rand) stream.Algorithm {
+			return &slowAlg{inner: kk.New(cfg.N, cfg.M, rng), delay: 30 * time.Microsecond}
+		})
+		cfg := Config{Algo: "slowtest", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed}
+		// slowtest wraps kk built from the same coins, so plain kk is the
+		// reference.
+		alg, err := Build(Config{Algo: "kk", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		local := stream.RunEdges(alg, edges)
+
+		hub := obs.NewHub(1)
+		srv := startServer(t, ServerConfig{Obs: hub.Serve()})
+		c := dialT(t, srv)
+		if _, err := c.Hello("", cfg); err != nil {
+			t.Fatal(err)
+		}
+		fd := Feeder{Edges: edges, Batch: 64}
+		if err := fd.RunUntil(c, len(edges)); err != nil {
+			t.Fatal(err)
+		}
+		pos, err := c.Flush()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if pos != len(edges) || pos != c.Pos() {
+			t.Fatalf("flush acked %d edges, sent %d", pos, c.Pos())
+		}
+		res, err := c.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.Edges != len(edges) {
+			t.Fatalf("processed %d edges, want %d", res.Edges, len(edges))
+		}
+		if !res.Cover.Equal(local.Cover) {
+			t.Fatalf("served cover (%d sets) differs from local (%d sets)", len(res.Cover.Sets), len(local.Cover.Sets))
+		}
+		if !obs.Enabled {
+			return // the counters below are compiled out
+		}
+		if got := metricValue(t, hub, "streamcover_serve_edges_total"); got != float64(len(edges)) {
+			t.Fatalf("edges_total = %v, want %d", got, len(edges))
+		}
+		if got, want := metricValue(t, hub, "streamcover_serve_batches_total"), float64((len(edges)+63)/64); got != want {
+			t.Fatalf("batches_total = %v, want %v", got, want)
+		}
 	})
-	hub := obs.NewHub(1)
-	so := hub.Serve()
-	srv := startServer(t, ServerConfig{Obs: so})
-	c := dialT(t, srv)
-	cfg := Config{Algo: "slowtest", N: testN, M: testM, StreamLen: len(edges), Seed: testSeed}
-	if _, err := c.Hello("", cfg); err != nil {
-		t.Fatal(err)
+
+	// N attached sessions cost N goroutines on the server — the connection
+	// readers — and not 2N.
+	t.Run("one-goroutine-per-session", func(t *testing.T) {
+		const sessions = 16
+		edges := testEdges(t)
+		srv := startServer(t, ServerConfig{})
+		base := settledGoroutines()
+		clients := make([]*Client, sessions)
+		for i := range clients {
+			clients[i] = dialT(t, srv)
+			if _, err := clients[i].Hello("", testConfig(edges)); err != nil {
+				t.Fatal(err)
+			}
+			if err := clients[i].SendBatch(edges[:512]); err != nil {
+				t.Fatal(err)
+			}
+			if pos, err := clients[i].Flush(); err != nil || pos != 512 {
+				t.Fatalf("session %d flushed at %d (%v), want 512", i, pos, err)
+			}
+		}
+		if got := srv.Manager().Active(); got != sessions {
+			t.Fatalf("%d sessions attached, want %d", got, sessions)
+		}
+		// Every handler is running: each one acked a flush.
+		if delta := runtime.NumGoroutine() - base; delta != sessions {
+			t.Fatalf("%d sessions attached added %d goroutines, want %d", sessions, delta, sessions)
+		}
+		for i, c := range clients {
+			if err := (&Feeder{Edges: edges, Batch: 512}).RunUntil(c, len(edges)); err != nil {
+				t.Fatal(err)
+			}
+			if res, err := c.Finish(); err != nil || res.Edges != len(edges) {
+				t.Fatalf("session %d finished with %d edges (%v), want %d", i, res.Edges, err, len(edges))
+			}
+		}
+	})
+}
+
+// settledGoroutines waits for goroutines left over from earlier tests to
+// exit and returns the steady count.
+func settledGoroutines() int {
+	n := runtime.NumGoroutine()
+	for i := 0; i < 100; i++ {
+		time.Sleep(10 * time.Millisecond)
+		m := runtime.NumGoroutine()
+		if m == n {
+			break
+		}
+		n = m
 	}
-	fd := Feeder{Edges: edges, Batch: 64}
-	res, err := fd.Run(c)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Edges != len(edges) {
-		t.Fatalf("processed %d edges, want %d", res.Edges, len(edges))
-	}
-	stalls := metricValue(t, hub, "streamcover_serve_ingest_stalls_total")
-	if stalls == 0 {
-		t.Fatalf("no ingest stalls recorded while overrunning a slow consumer")
-	}
-	t.Logf("backpressure: %v stalls over %d batches", stalls, (len(edges)+63)/64)
+	return n
 }
 
 // metricValue reads one counter/gauge from a private hub snapshot.

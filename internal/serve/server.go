@@ -40,7 +40,7 @@ type ServerConfig struct {
 
 // Server accepts SCWIRE1 connections and feeds each session's edges
 // through the registered streaming algorithms. One goroutine per
-// connection reads frames; one per session drains the ring — see the
+// connection reads frames and runs its session's algorithm — see the
 // package documentation for the full lifecycle. The server is pure
 // transport: session state lives in the lifecycle manager, checkpoints in
 // its store.
@@ -324,9 +324,8 @@ func (s *Server) handle(conn net.Conn) {
 		}
 		switch payload[0] {
 		case frameEdges:
-			// Lease a ring buffer from the session, decode the frame
-			// straight into it (no copies, no allocations), and commit.
-			// Reserve blocking on a full ring is the backpressure path.
+			// Lease the session's edge buffer, decode the frame straight
+			// into it (no copies, no allocations), and run the batch.
 			buf := sess.Reserve()
 			n, err := parseEdgesInto(payload[1:], buf, cfg.N, cfg.M)
 			if err != nil {

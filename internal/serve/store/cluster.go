@@ -495,20 +495,27 @@ func (s *ClusterStore) Close() error {
 	return nil
 }
 
-// roundTrip sends one request payload and decodes the reply, retrying
-// once on a fresh connection if a pooled one turned out dead (the server
-// restarted, or an idle timeout severed it).
-func (s *ClusterStore) roundTrip(build func(req []byte) []byte) ([]byte, error) {
+// roundTrip sends one request payload and hands the reply's OK body to
+// decode, retrying once on a fresh connection if a pooled one turned out
+// dead (the server restarted, or an idle timeout severed it). The body
+// aliases the connection's read buffer, so decode runs — and copies what
+// it keeps — before the connection returns to the pool, where a concurrent
+// round trip would overwrite it.
+func (s *ClusterStore) roundTrip(build func(req []byte) []byte, decode func(body []byte) error) error {
 	var lastErr error
 	for attempt := 0; attempt < 2; attempt++ {
 		c, err := s.get()
 		if err != nil {
-			return nil, err
+			return err
 		}
 		reply, err := s.exchange(c, build)
 		if err == nil {
+			body, err := decodeReply(reply)
+			if err == nil {
+				err = decode(body)
+			}
 			s.put(c)
-			return reply, nil
+			return err
 		}
 		c.conn.Close()
 		lastErr = err
@@ -518,7 +525,7 @@ func (s *ClusterStore) roundTrip(build func(req []byte) []byte) ([]byte, error) 
 			break
 		}
 	}
-	return nil, fmt.Errorf("store: cluster %s: %w", s.addr, lastErr)
+	return fmt.Errorf("store: cluster %s: %w", s.addr, lastErr)
 }
 
 // exchange performs one framed request/reply on c.
@@ -538,8 +545,8 @@ func (s *ClusterStore) exchange(c *storeConn, build func(req []byte) []byte) ([]
 	if err != nil {
 		return nil, err
 	}
-	// The payload aliases the pooled read buffer; callers copy what they
-	// keep (Get copies the blob, List copies the strings).
+	// The payload aliases the pooled read buffer; roundTrip decodes it
+	// before the connection is reused.
 	return payload, nil
 }
 
@@ -581,23 +588,20 @@ func (s *ClusterStore) Put(token string, data []byte) (int, error) {
 	if err := checkToken(token); err != nil {
 		return 0, err
 	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
+	var n int
+	err := s.roundTrip(func(req []byte) []byte {
 		req = append(req, opPut)
 		req = appendToken(req, token)
 		return append(req, data...)
+	}, func(body []byte) error {
+		v, w := binary.Uvarint(body)
+		if w <= 0 || w != len(body) {
+			return fmt.Errorf("%w: malformed put reply", ErrStoreWire)
+		}
+		n = int(v)
+		return nil
 	})
-	if err != nil {
-		return 0, err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return 0, err
-	}
-	n, w := binary.Uvarint(body)
-	if w <= 0 || w != len(body) {
-		return 0, fmt.Errorf("%w: malformed put reply", ErrStoreWire)
-	}
-	return int(n), nil
+	return n, err
 }
 
 // Get returns a copy of token's checkpoint from the shared store, or
@@ -606,20 +610,16 @@ func (s *ClusterStore) Get(token string) ([]byte, error) {
 	if err := checkToken(token); err != nil {
 		return nil, err
 	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
+	var out []byte
+	err := s.roundTrip(func(req []byte) []byte {
 		req = append(req, opGet)
 		return appendToken(req, token)
+	}, func(body []byte) error {
+		out = make([]byte, len(body))
+		copy(out, body)
+		return nil
 	})
-	if err != nil {
-		return nil, err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return nil, err
-	}
-	out := make([]byte, len(body))
-	copy(out, body)
-	return out, nil
+	return out, err
 }
 
 // Delete removes token's checkpoint from the shared store, or returns
@@ -628,49 +628,39 @@ func (s *ClusterStore) Delete(token string) error {
 	if err := checkToken(token); err != nil {
 		return err
 	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
+	return s.roundTrip(func(req []byte) []byte {
 		req = append(req, opDelete)
 		return appendToken(req, token)
+	}, func(body []byte) error {
+		if len(body) != 0 {
+			return fmt.Errorf("%w: malformed delete reply", ErrStoreWire)
+		}
+		return nil
 	})
-	if err != nil {
-		return err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return err
-	}
-	if len(body) != 0 {
-		return fmt.Errorf("%w: malformed delete reply", ErrStoreWire)
-	}
-	return nil
 }
 
 // List returns every token holding a checkpoint on the shared store,
 // sorted (the server lists its backing store, which sorts).
 func (s *ClusterStore) List() ([]string, error) {
-	reply, err := s.roundTrip(func(req []byte) []byte {
+	var tokens []string
+	err := s.roundTrip(func(req []byte) []byte {
 		return append(req, opList)
+	}, func(body []byte) error {
+		c := storeCursor{b: body}
+		n := c.u64()
+		if c.err != nil {
+			return c.err
+		}
+		if n > uint64(len(c.b)) { // every token takes >= 1 byte
+			return fmt.Errorf("%w: %d tokens exceed frame", ErrStoreWire, n)
+		}
+		tokens = make([]string, 0, n)
+		for i := uint64(0); i < n; i++ {
+			tokens = append(tokens, c.str()) // str copies out of the buffer
+		}
+		return c.done()
 	})
 	if err != nil {
-		return nil, err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return nil, err
-	}
-	c := storeCursor{b: body}
-	n := c.u64()
-	if c.err != nil {
-		return nil, c.err
-	}
-	if n > uint64(len(c.b)) { // every token takes >= 1 byte
-		return nil, fmt.Errorf("%w: %d tokens exceed frame", ErrStoreWire, n)
-	}
-	tokens := make([]string, 0, n)
-	for i := uint64(0); i < n; i++ {
-		tokens = append(tokens, c.str())
-	}
-	if err := c.done(); err != nil {
 		return nil, err
 	}
 	return tokens, nil
@@ -683,19 +673,16 @@ func (s *ClusterStore) Reserve(token string) (bool, error) {
 	if err := checkToken(token); err != nil {
 		return false, err
 	}
-	reply, err := s.roundTrip(func(req []byte) []byte {
+	var won bool
+	err := s.roundTrip(func(req []byte) []byte {
 		req = append(req, opReserve)
 		return appendToken(req, token)
+	}, func(body []byte) error {
+		if len(body) != 1 || body[0] > 1 {
+			return fmt.Errorf("%w: malformed reserve reply", ErrStoreWire)
+		}
+		won = body[0] == 1
+		return nil
 	})
-	if err != nil {
-		return false, err
-	}
-	body, err := decodeReply(reply)
-	if err != nil {
-		return false, err
-	}
-	if len(body) != 1 || body[0] > 1 {
-		return false, fmt.Errorf("%w: malformed reserve reply", ErrStoreWire)
-	}
-	return body[0] == 1, nil
+	return won, err
 }

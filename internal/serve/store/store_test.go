@@ -423,6 +423,41 @@ func TestClusterStoreRedial(t *testing.T) {
 	}
 }
 
+// TestClusterStoreConcurrentReplies pins that a ClusterStore reply is
+// decoded before its pooled connection is handed to another caller: the
+// reply aliases the connection's read buffer, so decoding it after the
+// connection went back to the pool lets a concurrent round trip overwrite
+// the bytes. Many goroutines Put and Get distinct blobs through one client
+// and every Get must return exactly what its goroutine last wrote.
+func TestClusterStoreConcurrentReplies(t *testing.T) {
+	cs := openClusterStore(t)
+	const workers, rounds = 32, 100
+	var wg sync.WaitGroup
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			tok := fmt.Sprintf("c%03d", w)
+			for r := 0; r < rounds; r++ {
+				// Distinct content and length per (worker, round), all
+				// within one pooled read buffer's capacity once warm.
+				blob := bytes.Repeat([]byte(fmt.Sprintf("%s/%04d;", tok, r)), 40+(w*7+r*13)%40)
+				if n, err := cs.Put(tok, blob); err != nil || n != len(blob) {
+					t.Errorf("worker %d round %d: put = %d, %v", w, r, n, err)
+					return
+				}
+				got, err := cs.Get(tok)
+				if err != nil || !bytes.Equal(got, blob) {
+					t.Errorf("worker %d round %d: got %d bytes %.24q, want %d bytes %.24q (err %v)",
+						w, r, len(got), got, len(blob), blob, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
 // TestStoreServerRejectsGarbage: a connection that opens with the wrong
 // magic or ships a corrupt frame is dropped without wedging the server.
 func TestStoreServerRejectsGarbage(t *testing.T) {

@@ -35,7 +35,7 @@ const (
 const (
 	frameHello  = 0x01 // open a new session
 	frameEdges  = 0x02 // one edge batch
-	frameFlush  = 0x03 // request a pos-ack once the queue has drained
+	frameFlush  = 0x03 // request a pos-ack for every edge sent so far
 	frameFinish = 0x04 // finish the algorithm, expect a result frame
 	frameResume = 0x05 // reattach to a detached session
 	frameDetach = 0x06 // graceful disconnect: checkpoint and ack first
@@ -57,8 +57,8 @@ const (
 
 // Wire limits: a frame payload is bounded so a corrupt length prefix cannot
 // provoke a pathological allocation. An edges frame is additionally bounded
-// by MaxBatch (defined by the lifecycle layer, whose ring buffers are sized
-// to it once at session creation and re-exported in serve.go).
+// by MaxBatch (defined by the lifecycle layer, whose per-session edge buffer
+// is sized to it once at session creation; re-exported in serve.go).
 //
 // maxFramePayload bounds every frame payload. Generous enough for a
 // MaxBatch edge frame of worst-case varints and for result frames of
