@@ -117,8 +117,9 @@ kernel-smoke:
 
 # Run every fuzz target for a ~10s budget each: the stream codec, the
 # prefetch pipeline, the OR-library parser, the SCSTATE1/SCCKPT1 snapshot
-# decoders, the SCWIRE1 frame reader and the shard-ring membership codec
-# (go test allows one -fuzz target per invocation).
+# decoders, the SCWIRE1 frame reader, the shard-ring membership codec and
+# the SCSTOR1 store-server request path (go test allows one -fuzz target
+# per invocation).
 fuzz-smoke:
 	$(GO) test -fuzz FuzzDecode -fuzztime 10s ./internal/stream/
 	$(GO) test -fuzz FuzzPrefetchedFile -fuzztime 10s ./internal/stream/
@@ -128,6 +129,7 @@ fuzz-smoke:
 	$(GO) test -fuzz FuzzReadCheckpoint -fuzztime 10s ./internal/snap/
 	$(GO) test -fuzz FuzzWireFrame -fuzztime 10s ./internal/serve/
 	$(GO) test -fuzz FuzzRingCodec -fuzztime 10s ./internal/serve/ring/
+	$(GO) test -fuzz FuzzStoreRequest -fuzztime 10s ./internal/serve/store/
 
 fmt:
 	gofmt -w .

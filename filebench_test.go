@@ -102,10 +102,29 @@ func seedReplay(path string, numEdges int, proc func([]Edge)) error {
 // BenchmarkFileReplay measures one full on-disk replay pass into the
 // KK-algorithm through three ingestion paths: the seed eager-verify +
 // per-edge decode, the single-scan windowed File, and the File behind the
-// background Prefetcher.
+// background Prefetcher. A fourth leg, /decode, prices the stream layer
+// alone: open and drain, with no algorithm.
 func BenchmarkFileReplay(b *testing.B) {
 	const n, m = 900, 18000
 	path, numEdges, size := writeBenchStream(b)
+
+	b.Run("decode", func(b *testing.B) {
+		b.SetBytes(size)
+		for i := 0; i < b.N; i++ {
+			fs, err := OpenStreamFile(path)
+			if err != nil {
+				b.Fatal(err)
+			}
+			for len(fs.NextBatch(stream.BatchSize)) > 0 {
+			}
+			err = fs.Err()
+			fs.Close()
+			if err != nil {
+				b.Fatal(err)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(numEdges), "ns/edge")
+	})
 
 	b.Run("seed", func(b *testing.B) {
 		alg := NewKK(n, m, NewRand(3))

@@ -65,8 +65,11 @@ func Parse(r io.Reader) (*Instance, error) {
 		return nil, fmt.Errorf("orlib: invalid dimensions %d×%d", rows, cols)
 	}
 
-	costs := make([]int, cols)
-	for j := range costs {
+	// The costs grow as they are read: a header that claims more columns
+	// than the input holds fails at the end of the input instead of first
+	// reserving memory for every claimed column.
+	costs := make([]int, 0, min(cols, 1<<16))
+	for j := 0; j < cols; j++ {
 		c, err := next(fmt.Sprintf("cost of column %d", j+1))
 		if err != nil {
 			return nil, err
@@ -74,7 +77,7 @@ func Parse(r io.Reader) (*Instance, error) {
 		if c < 0 {
 			return nil, fmt.Errorf("orlib: negative cost %d for column %d", c, j+1)
 		}
-		costs[j] = c
+		costs = append(costs, c)
 	}
 
 	b := setcover.NewBuilder(rows)

@@ -512,15 +512,14 @@ func (f *frameIO) writeEdges(edges []stream.Edge) error {
 }
 
 // parseEdgesInto decodes an edges body into dst, validating the count
-// against the ring buffer capacity and every edge against the session
+// against the session buffer's capacity and every edge against the session
 // shape. It returns the number of edges decoded.
 //
-// The hot loop is a windowed batch decoder in the same shape as
-// stream.File's FillBatch: while a worst-case edge (two maximal varints)
-// provably fits in the remaining bytes, an unrolled 1–2-byte fast path
-// decodes without per-byte bounds checks; the last few edges fall back to
-// the generic decoder against the exact window edge. Semantics are pinned
-// to the per-edge binary.Uvarint reference by TestParseEdgesMatchesReference.
+// stream.DecodeEdges, the edge kernel shared with stream files, decodes the
+// bulk of the body. The loop below takes over at the edge it stops at (one
+// that is malformed, out of range, or within a maximal edge of the frame's
+// end) and words the error. TestParseEdgesMatchesReference pins the result
+// to the per-edge binary.Uvarint reference.
 func parseEdgesInto(body []byte, dst []stream.Edge, n, m int) (int, error) {
 	k, sz := binary.Uvarint(body)
 	if sz <= 0 {
@@ -531,36 +530,7 @@ func parseEdgesInto(body []byte, dst []stream.Edge, n, m int) (int, error) {
 	}
 	b := body[sz:]
 	um, un := uint64(m), uint64(n)
-	pos, i := 0, 0
-	for fastEnd := len(b) - 2*binary.MaxVarintLen64; i < int(k) && pos <= fastEnd; i++ {
-		var s, u uint64
-		if c0 := b[pos]; c0 < 0x80 {
-			s, pos = uint64(c0), pos+1
-		} else if c1 := b[pos+1]; c1 < 0x80 {
-			s, pos = uint64(c0&0x7f)|uint64(c1)<<7, pos+2
-		} else {
-			v, w := binary.Uvarint(b[pos:])
-			if w <= 0 {
-				return 0, fmt.Errorf("%w: truncated varint", ErrWire)
-			}
-			s, pos = v, pos+w
-		}
-		if c0 := b[pos]; c0 < 0x80 {
-			u, pos = uint64(c0), pos+1
-		} else if c1 := b[pos+1]; c1 < 0x80 {
-			u, pos = uint64(c0&0x7f)|uint64(c1)<<7, pos+2
-		} else {
-			v, w := binary.Uvarint(b[pos:])
-			if w <= 0 {
-				return 0, fmt.Errorf("%w: truncated varint", ErrWire)
-			}
-			u, pos = v, pos+w
-		}
-		if s >= um || u >= un {
-			return 0, fmt.Errorf("%w: edge (%d,%d) out of range for n=%d m=%d", ErrWire, s, u, n, m)
-		}
-		dst[i] = stream.Edge{Set: setcover.SetID(s), Elem: setcover.Element(u)}
-	}
+	i, pos := stream.DecodeEdges(b, dst[:k], n, m)
 	for ; i < int(k); i++ {
 		s, w := binary.Uvarint(b[pos:])
 		if w <= 0 {

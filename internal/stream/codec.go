@@ -129,7 +129,14 @@ func Decode(r io.Reader) (Header, []Edge, error) {
 		return Header{}, nil, fmt.Errorf("%w: invalid header %+v", ErrCorrupt, hdr)
 	}
 	edges := make([]Edge, hdr.E)
-	for i := range edges {
+	for i := 0; i < len(edges); i++ {
+		// DecodeEdges takes every edge it can vouch for; the edge it stops
+		// at goes through the per-edge reader, which words the errors.
+		k, used := DecodeEdges(payload[len(payload)-br.Len():], edges[i:], hdr.N, hdr.M)
+		_, _ = br.Seek(int64(used), io.SeekCurrent) // cannot fail: 0 <= used <= br.Len()
+		if i += k; i == len(edges) {
+			break
+		}
 		s, err := readUvarint()
 		if err != nil {
 			return Header{}, nil, fmt.Errorf("%w: edge %d set: %v", ErrCorrupt, i, err)

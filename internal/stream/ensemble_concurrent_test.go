@@ -291,15 +291,20 @@ func TestEnsembleSharedSessionRingStress(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for {
+				// Take a buffer before claiming a batch: every claimed
+				// batch then already holds a buffer, so the batch the
+				// dispatcher waits for is never stuck behind later batches
+				// that took all the buffers first.
+				idx := <-free
 				b := int(atomic.AddInt64(&next, 1))
 				if b >= numBatches {
+					free <- idx
 					return
 				}
 				lo, hi := b*batchLen, (b+1)*batchLen
 				if hi > total {
 					hi = total
 				}
-				idx := <-free
 				n := copy(bufs[idx], edges[lo:hi])
 				slots[b] <- filled{idx: idx, n: n}
 			}

@@ -15,9 +15,11 @@ import (
 // edges, small enough to stay resident in L2.
 const fileBufSize = 256 << 10
 
-// minFileWindow is the smallest usable read window: two maximum-length
-// varints, so one edge can always be decoded without an intervening refill.
-const minFileWindow = 2 * binary.MaxVarintLen64
+// minFileWindow is the smallest usable read window: one maximal edge, so
+// one edge can always be decoded without an intervening refill. It is also
+// the refill threshold, which makes it the margin DecodeEdges keeps from
+// the end of the window: the kernel stops exactly where a refill is due.
+const minFileWindow = maxEdgeLen
 
 // FileOptions configures OpenFileWith.
 type FileOptions struct {
@@ -248,9 +250,10 @@ func (fs *File) refill() error {
 // FillBatch implements BatchFiller: it decodes up to len(dst) edges directly
 // into dst and returns how many were produced. A short count means end of
 // stream or a sticky decode error (Err distinguishes them). This is the
-// single decode loop behind Next, NextBatch and SkipTo: uvarints are read
-// straight out of the read window, two bounds checks and no io.Reader
-// dispatch per edge.
+// single decode loop behind Next, NextBatch and SkipTo. DecodeEdges decodes
+// straight out of the read window, never past edge E; the edge it stops at
+// is decoded here one uvarint at a time, which is where every truncation,
+// overflow and range error is raised.
 func (fs *File) FillBatch(dst []Edge) int {
 	if fs.err != nil {
 		return 0
@@ -267,6 +270,17 @@ func (fs *File) FillBatch(dst []Edge) int {
 				break
 			}
 		}
+		want := min(len(dst)-k, fs.remaining)
+		d, used := DecodeEdges(fs.rbuf[fs.rpos:fs.rlen], dst[k:k+want], fs.hdr.N, fs.hdr.M)
+		fs.rpos += used
+		k += d
+		fs.pos += d
+		fs.remaining -= d
+		if d == want || (fs.rlen-fs.rpos < minFileWindow && fs.unread > 0) {
+			continue
+		}
+		// The kernel stopped at a bad edge or within one maximal edge of
+		// the end of the body.
 		s, n1 := binary.Uvarint(fs.rbuf[fs.rpos:fs.rlen])
 		if n1 <= 0 {
 			fs.fail(fs.varintErr(n1, "set"))

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"os"
 	"path/filepath"
+	"slices"
 	"testing"
 
 	"streamcover/internal/setcover"
@@ -81,6 +82,19 @@ func FuzzPrefetchedFile(f *testing.F) {
 	f.Add(mutated)
 	trailing := append(append([]byte(nil), valid...), 0)
 	f.Add(trailing)
+	// A seed longer than the minimum read window, with IDs above 2^14 so
+	// most take 3 bytes: it reaches the DecodeEdges fast path and, in the
+	// minimum-window replay below, refills inside edges.
+	const wideN, wideM = 20000, 30000
+	wide := make([]Edge, 96)
+	for i := range wide {
+		wide[i] = Edge{Set: setcover.SetID(wideM - 1 - i*97), Elem: setcover.Element(wideN - 1 - i*131)}
+	}
+	var wideBuf bytes.Buffer
+	if err := Encode(&wideBuf, Header{N: wideN, M: wideM, E: len(wide)}, wide); err != nil {
+		f.Fatal(err)
+	}
+	f.Add(wideBuf.Bytes())
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		hdr, want, decodeErr := Decode(bytes.NewReader(data))
@@ -88,6 +102,20 @@ func FuzzPrefetchedFile(f *testing.F) {
 		path := filepath.Join(t.TempDir(), "fuzz.scstrm")
 		if err := os.WriteFile(path, data, 0o600); err != nil {
 			t.Fatal(err)
+		}
+		// The same bytes through a bare File at the minimum read window
+		// (BufferSize 1 is raised to it), so refills fall inside edges.
+		if small, err := OpenFileWith(path, FileOptions{BufferSize: 1}); err == nil {
+			got, passErr := drainFillBatch(small)
+			small.Close()
+			if decodeErr == nil && (passErr != nil || !slices.Equal(got, want)) {
+				t.Fatalf("minimum-window pass gave %d edges, err %v; Decode %d edges", len(got), passErr, len(want))
+			}
+			if decodeErr != nil && passErr == nil {
+				t.Fatalf("Decode rejected (%v) but the minimum-window pass completed cleanly with %d edges", decodeErr, len(got))
+			}
+		} else if decodeErr == nil {
+			t.Fatalf("minimum-window open rejected a Decode-accepted file: %v", err)
 		}
 		fs, err := OpenFile(path)
 		if err != nil {
@@ -133,6 +161,20 @@ func FuzzPrefetchedFile(f *testing.F) {
 			t.Fatalf("pass error %v is outside the corruption family", passErr)
 		}
 	})
+}
+
+// drainFillBatch runs one pass of fs through FillBatch and returns the edges
+// and the pass's sticky error.
+func drainFillBatch(fs *File) ([]Edge, error) {
+	var got []Edge
+	dst := make([]Edge, 64)
+	for {
+		k := fs.FillBatch(dst)
+		if k == 0 {
+			return got, fs.Err()
+		}
+		got = append(got, dst[:k]...)
+	}
 }
 
 // FuzzValidate checks that Validate never panics on arbitrary edge lists.
